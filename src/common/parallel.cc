@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/telemetry.hh"
 
 namespace archytas::parallel {
 
@@ -137,7 +138,14 @@ class Pool
         std::vector<std::exception_ptr> errors;
     };
 
-    Pool() : size_(defaultThreadCount()) {}
+    Pool() : size_(defaultThreadCount())
+    {
+        // Build the telemetry registry before the pool. Function-local
+        // statics are destroyed in reverse order of construction, so
+        // the registry then outlives ~Pool, whose exiting workers fold
+        // their thread-local telemetry shards into it.
+        static_cast<void>(telemetry::enabled());
+    }
 
     ~Pool() { joinWorkers(); }
 

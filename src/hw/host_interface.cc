@@ -19,16 +19,6 @@ transactionStatusName(TransactionStatus status)
     return "unknown";
 }
 
-std::size_t
-AttemptSchedule::failures() const
-{
-    std::size_t n = 0;
-    for (const AttemptOutcome &a : attempts)
-        if (!a.success)
-            ++n;
-    return n;
-}
-
 AttemptSchedule
 planAttempts(const HostLink &link, double nominal_seconds,
              const FaultEvent *stall, const FaultEvent *timeout)
@@ -50,15 +40,11 @@ planAttempts(const HostLink &link, double nominal_seconds,
     double backoff = link.backoff_initial_s;
     for (std::size_t attempt = 0; attempt <= link.max_retries;
          ++attempt) {
-        AttemptOutcome outcome;
-        outcome.start_s = elapsed;
+        ++schedule.attempts;
         const bool fails = attempt < forced_failures ||
                            per_attempt > link.deadline_s;
         if (!fails) {
-            outcome.duration_s = per_attempt;
-            outcome.success = true;
             elapsed += per_attempt;
-            schedule.attempts.push_back(outcome);
             schedule.total_seconds = elapsed;
             schedule.status = attempt == 0
                                   ? TransactionStatus::Ok
@@ -66,14 +52,12 @@ planAttempts(const HostLink &link, double nominal_seconds,
             return schedule;
         }
         // Abandoned at the deadline, then back off before retrying.
-        outcome.duration_s = link.deadline_s;
+        ++schedule.misses;
         elapsed += link.deadline_s;
         if (attempt < link.max_retries) {
-            outcome.backoff_s = backoff;
             elapsed += backoff;
             backoff *= link.backoff_factor;
         }
-        schedule.attempts.push_back(outcome);
     }
     schedule.total_seconds = elapsed;
     schedule.status = TransactionStatus::DeadlineExceeded;
@@ -122,26 +106,20 @@ HostInterface::windowTransaction(const slam::WindowWorkload &workload,
                                  const FaultPlan &faults) const
 {
     HostTransaction t = windowTransaction(workload, config_changed);
-    const double nominal = t.total_seconds;
     ARCHYTAS_COUNT_ADD("host.transactions", 1);
     ARCHYTAS_COUNT_ADD("host.words",
                        t.input_words + t.config_words + t.output_words);
 
-    const FaultEvent *stall =
-        faults.find(window_index, FaultKind::DmaStall);
-    const FaultEvent *timeout =
-        faults.find(window_index, FaultKind::DmaTimeout);
-    if (stall == nullptr && timeout == nullptr)
-        return t;
-
-    const AttemptSchedule schedule =
-        planAttempts(link_, nominal, stall, timeout);
-    t.attempts = schedule.attempts.size();
+    const AttemptSchedule schedule = planAttempts(
+        link_, t.total_seconds,
+        faults.find(window_index, FaultKind::DmaStall),
+        faults.find(window_index, FaultKind::DmaTimeout));
+    t.attempts = schedule.attempts;
     t.total_seconds = schedule.total_seconds;
     t.status = schedule.status;
 
-    if (const std::size_t misses = schedule.failures(); misses > 0)
-        ARCHYTAS_COUNT_ADD("host.deadline_misses", misses);
+    if (schedule.misses > 0)
+        ARCHYTAS_COUNT_ADD("host.deadline_misses", schedule.misses);
     if (t.status == TransactionStatus::RecoveredAfterRetry) {
         ARCHYTAS_COUNT_ADD("host.retries", t.attempts - 1);
         ARCHYTAS_COUNT_ADD("host.recovered_transactions", 1);

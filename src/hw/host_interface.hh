@@ -14,13 +14,13 @@
  * budget, so an injected DMA timeout or link stall (common/fault.hh)
  * degrades the window's latency instead of hanging the loop; when the
  * budget is exhausted the caller falls back to the software solver (see
- * hw/hw_solver.hh and docs/ROBUSTNESS.md).
+ * hw/hw_solver.hh and docs/ROBUSTNESS.md). HwWindowSolver::solveWindow
+ * runs each window's transaction exactly once, for a single robot and
+ * for every service session alike; the service only reads the result.
  */
 
 #ifndef ARCHYTAS_HW_HOST_INTERFACE_HH
 #define ARCHYTAS_HW_HOST_INTERFACE_HH
-
-#include <vector>
 
 #include "common/fault.hh"
 #include "hw/config.hh"
@@ -83,37 +83,23 @@ struct HostTransaction
     }
 };
 
-/** One DMA attempt inside a transaction's deterministic schedule. */
-struct AttemptOutcome
-{
-    double start_s = 0.0;    //!< Offset from transaction start.
-    double duration_s = 0.0; //!< Attempt time (deadline_s if abandoned).
-    double backoff_s = 0.0;  //!< Wait after abandoning; 0 otherwise.
-    bool success = false;
-};
-
 /**
- * The full attempt timeline of one transaction under the deadline +
- * bounded-retry + exponential-backoff policy. Computed up front from
- * the link parameters and the fault plan, so the synchronous path
- * (HostInterface::windowTransaction) and the event-driven async path
- * (service/async_link.hh) replay the identical schedule -- same
- * attempt count, same status, same total time.
+ * The outcome of one transaction under the deadline + bounded-retry +
+ * exponential-backoff policy. Computed up front from the link
+ * parameters and the fault plan, so it is deterministic in the plan and
+ * independent of wall clock.
  */
 struct AttemptSchedule
 {
-    std::vector<AttemptOutcome> attempts;
-    double total_seconds = 0.0;
+    double total_seconds = 0.0;   //!< Attempts plus backoff waits.
     TransactionStatus status = TransactionStatus::Ok;
-
-    /** Attempts that missed the deadline. */
-    std::size_t failures() const;
+    std::size_t attempts = 0;     //!< DMA attempts consumed.
+    std::size_t misses = 0;       //!< Attempts that missed the deadline.
 };
 
 /**
- * Plans the attempt timeline for a transaction whose healthy single
- * attempt takes nominal_seconds. Pure function of its arguments:
- * deterministic in the fault plan, independent of wall clock.
+ * Plans a transaction whose healthy single attempt takes
+ * nominal_seconds. Pure function of its arguments.
  *
  * @param stall   Optional DmaStall event scaling every attempt.
  * @param timeout Optional DmaTimeout event forcing the first `count`
@@ -142,13 +128,14 @@ class HostInterface
                       bool config_changed) const;
 
     /**
-     * Fault-aware variant: applies any DmaTimeout / DmaStall event the
-     * plan schedules for this window, driving the deadline + retry +
-     * exponential-backoff machinery. Deterministic in the plan.
+     * Fault-aware variant: plans the transaction through the deadline +
+     * retry + exponential-backoff machinery, applying any DmaTimeout /
+     * DmaStall event the plan schedules for this window. A link too
+     * slow for its deadline misses it without any fault. Deterministic
+     * in the plan; records the host.* counters.
      *
      * @param window_index  Sliding-window index used to query the plan.
-     * @param faults        Fault schedule (an empty plan injects
-     *                      nothing and behaves like the 2-arg overload).
+     * @param faults        Fault schedule (empty injects nothing).
      */
     [[nodiscard]] HostTransaction
     windowTransaction(const slam::WindowWorkload &workload,

@@ -55,19 +55,11 @@ HwWindowSolver::solveWindow(slam::WindowProblem &problem,
     workload.features = problem.featureCount();
     workload.observations = problem.observationCount();
 
-    const HostTransaction txn = host_.windowTransaction(
-        workload, !config_sent_, window, plan_);
+    last_txn_ = host_.windowTransaction(workload, !config_sent_, window,
+                                        plan_);
     config_sent_ = true;
-    return completeWindow(problem, options, health, txn, window);
-}
+    const HostTransaction &txn = last_txn_;
 
-slam::LmReport
-HwWindowSolver::completeWindow(slam::WindowProblem &problem,
-                               const slam::LmOptions &options,
-                               slam::HealthReport &health,
-                               const HostTransaction &txn,
-                               std::size_t window)
-{
     ARCHYTAS_SPAN("hw", "hw.window");
     ++stats_.windows;
     ARCHYTAS_COUNT_ADD("hw.windows", 1);

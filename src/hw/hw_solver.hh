@@ -5,9 +5,11 @@
  * exactly as the deployed system would (Sec. 6.2) — and survives the
  * faults a deployment sees. Per window it runs the host DMA transaction
  * (with deadline / bounded retry / exponential backoff from
- * hw/host_interface.hh); when the retry budget is exhausted the window
- * is solved by the software path instead (graceful degradation), and
- * injected result-word bit-flips corrupt the accelerator's step so the
+ * hw/host_interface.hh) -- the one place a window's transaction is
+ * run; the multi-robot service reads it back through lastTransaction().
+ * When the retry budget is exhausted the window is solved by the
+ * software path instead (graceful degradation), and injected
+ * result-word bit-flips corrupt the accelerator's step so the
  * estimator's step-rejection and divergence-recovery machinery is
  * exercised end to end. Plugs into
  * slam::SlidingWindowEstimator::setWindowSolver.
@@ -54,28 +56,15 @@ class HwWindowSolver
                             FaultPlan plan = {});
 
     /**
-     * slam::SlidingWindowEstimator::WindowSolver entry point. Windows
-     * are numbered in call order, matching FaultEvent::window.
+     * slam::SlidingWindowEstimator::WindowSolver entry point: runs the
+     * window's host-link transaction, then solves the window on the
+     * accelerator or, when the retry budget is exhausted, in software.
+     * Windows are numbered in call order, matching FaultEvent::window.
      */
     [[nodiscard]] slam::LmReport
     solveWindow(slam::WindowProblem &problem,
                 const slam::LmOptions &options,
                 slam::HealthReport &health);
-
-    /**
-     * Async-path entry (service/async_link.hh): the caller already
-     * performed the window's host transaction -- e.g. as an async
-     * transaction on the service's simulated timeline -- and hands in
-     * its outcome plus the window index used to query the fault plan.
-     * Everything downstream of the transaction is identical to
-     * solveWindow: fallback on DeadlineExceeded, bit-flip injection,
-     * stats, telemetry.
-     */
-    [[nodiscard]] slam::LmReport
-    completeWindow(slam::WindowProblem &problem,
-                   const slam::LmOptions &options,
-                   slam::HealthReport &health,
-                   const HostTransaction &txn, std::size_t window);
 
     /**
      * Installs this solver on an estimator. The solver must outlive the
@@ -86,6 +75,8 @@ class HwWindowSolver
     const HwSolveStats &stats() const { return stats_; }
     const Accelerator &accelerator() const { return accel_; }
     const HostInterface &host() const { return host_; }
+    /** The host-link transaction of the most recent solveWindow. */
+    const HostTransaction &lastTransaction() const { return last_txn_; }
 
   private:
     /** Flips `count` random bits across the result words dy/dx. */
@@ -96,6 +87,7 @@ class HwWindowSolver
     HostInterface host_;
     FaultPlan plan_;
     HwSolveStats stats_;
+    HostTransaction last_txn_;
     std::size_t window_index_ = 0;
     bool config_sent_ = false;
     /** Per-solver LM buffers: reused across windows (both the hardware

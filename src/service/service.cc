@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/contracts.hh"
@@ -83,7 +84,7 @@ LocalizationService::addSession(const SessionConfig &config)
     ARCHYTAS_ASSERT(!ran_, "addSession after run()");
     const std::size_t id = sessions_.size();
     sessions_.push_back(
-        std::make_unique<RobotSession>(id, config, options_.seed));
+        std::make_unique<RobotSession>(id, config));
     return id;
 }
 
@@ -224,16 +225,12 @@ LocalizationService::run()
                 std::max(available, s.prev_complete_s);
             double complete = request;
 
-            if (step.has_transaction) {
-                // Optimized window: async host-link transaction, then
-                // the solve -- on a shared accelerator slot, or on the
-                // host CPU after a DeadlineExceeded fallback.
-                const AsyncTransaction txn(step.transaction, request);
-                const double link_s =
-                    txn.completionTime() - txn.issueTime();
-                const bool hw_solved =
-                    txn.status() !=
-                    hw::TransactionStatus::DeadlineExceeded;
+            if (step.transaction) {
+                // Optimized window: host-link transaction, then the
+                // solve -- on a shared accelerator slot, or on the host
+                // CPU after a DeadlineExceeded fallback.
+                const double link_s = step.transaction->total_seconds;
+                const bool hw_solved = step.transaction->ok();
                 const hw::Accelerator &accel =
                     session.solver().accelerator();
                 const double compute_s =

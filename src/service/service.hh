@@ -12,7 +12,7 @@
  *    a serial run at any ARCHYTAS_THREADS;
  *  - a serial *scheduling* phase: the stepped frames are placed on the
  *    simulated timeline in (request time, session id) order --
- *    admission waits, async host-link transactions, accelerator-slot
+ *    admission waits, host-link transactions, accelerator-slot
  *    queueing -- producing the latency distribution. Scheduling
  *    consumes only numbers already fixed by the numeric phase, so it
  *    can never feed back into the trajectories.
@@ -25,7 +25,6 @@
 #ifndef ARCHYTAS_SERVICE_SERVICE_HH
 #define ARCHYTAS_SERVICE_SERVICE_HH
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,8 +42,6 @@ struct ServiceOptions
     std::size_t accelerator_slots = 2;
     /** Session admission cap (sessions live at once). */
     std::size_t max_active_sessions = 4;
-    /** Seed for per-session RNG streams. */
-    std::uint64_t seed = 2021;
     /**
      * Latency multiplier for windows solved by the software fallback
      * (no accelerator slot involved): the host CPU solve is slower than

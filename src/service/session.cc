@@ -1,7 +1,8 @@
 #include "service/session.hh"
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
-#include <utility>
 
 #include "common/contracts.hh"
 #include "common/telemetry.hh"
@@ -29,19 +30,6 @@ makeLabel(const SessionConfig &config, std::size_t id)
     return buf;
 }
 
-/**
- * Independent per-session stream: a fixed odd multiplier spreads the
- * session id across the seed space (splitmix-style), so neighbouring
- * ids never yield correlated streams.
- */
-Rng
-makeSessionRng(std::uint64_t service_seed, std::size_t id)
-{
-    return Rng(service_seed ^
-               (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(id) +
-                                         1)));
-}
-
 std::array<hw::HwConfig, runtime::kMaxIterations>
 gatedConfigsFor(const hw::HwConfig &built)
 {
@@ -55,11 +43,9 @@ gatedConfigsFor(const hw::HwConfig &built)
 
 } // namespace
 
-RobotSession::RobotSession(std::size_t id, const SessionConfig &config,
-                           std::uint64_t service_seed)
+RobotSession::RobotSession(std::size_t id, const SessionConfig &config)
     : config_(config),
-      ctx_{id, makeLabel(config, id), config.faults,
-           makeSessionRng(service_seed, id)},
+      ctx_{id, makeLabel(config, id)},
       sequence_(makeSequence(config)),
       frames_(config.faults.empty()
                   ? sequence_.frames()
@@ -67,8 +53,7 @@ RobotSession::RobotSession(std::size_t id, const SessionConfig &config,
       estimator_(sequence_.camera(), config.estimator),
       solver_(config.accel, config.link, config.faults),
       controller_(config.iter_table, gatedConfigsFor(config.accel),
-                  config.accel),
-      link_(config.link)
+                  config.accel)
 {
     ARCHYTAS_ASSERT(!frames_.empty(), "session with an empty sequence");
     results_.reserve(frames_.size());
@@ -82,41 +67,18 @@ RobotSession::RobotSession(std::size_t id, const SessionConfig &config,
         [this](slam::WindowProblem &problem,
                const slam::LmOptions &options,
                slam::HealthReport &health) {
-            return solveWindowAsync(problem, options, health);
+            // Flow hop: the frame's arc passes through the window's
+            // host-link transaction, linking the session's numeric work
+            // to the accelerator request it spawned.
+            ARCHYTAS_FLOW_STEP("service", "trace.frame");
+            return solver_.solveWindow(problem, options, health);
         });
-}
-
-slam::LmReport
-RobotSession::solveWindowAsync(slam::WindowProblem &problem,
-                               const slam::LmOptions &options,
-                               slam::HealthReport &health)
-{
-    slam::WindowWorkload workload;
-    workload.keyframes = problem.keyframeCount();
-    workload.features = problem.featureCount();
-    workload.observations = problem.observationCount();
-
-    const std::size_t window = window_index_++;
-    const bool config_changed = !config_sent_;
-    config_sent_ = true;
-
-    // Issue the transaction asynchronously: the outcome is computed
-    // here (pure in the fault plan, so safe on a pool worker); its
-    // placement on the service timeline happens in the serial
-    // scheduling phase.
-    pending_ = link_.begin(workload, config_changed, window, ctx_.faults);
-    has_pending_ = true;
-    pending_window_ = window;
-
-    return solver_.completeWindow(problem, options, health, pending_.txn,
-                                  window);
 }
 
 SessionStep
 RobotSession::stepFrame()
 {
     ARCHYTAS_ASSERT(!finished(), "stepFrame on a finished session");
-    has_pending_ = false;
 
     const dataset::FrameData &frame = frames_[next_frame_];
     const auto frame_index = static_cast<std::uint32_t>(next_frame_);
@@ -132,13 +94,11 @@ RobotSession::stepFrame()
     ARCHYTAS_FLOW_BEGIN("service", "trace.frame");
 
     SessionStep step;
+    const std::size_t windows = solver_.stats().windows;
     step.frame = estimator_.processFrame(frame);
     step.frame_offset_s = frame.timestamp - frames_.front().timestamp;
-    if (has_pending_) {
-        step.transaction = pending_;
-        step.has_transaction = true;
-        step.window = pending_window_;
-    }
+    if (solver_.stats().windows != windows)
+        step.transaction = solver_.lastTransaction();
     results_.push_back(step.frame);
 
     ARCHYTAS_COUNT_ADD("session.frames", 1);

@@ -2,54 +2,43 @@
  * @file
  * One robot's localization session inside the multi-robot service
  * (docs/SERVICE.md). A RobotSession owns the complete per-robot stack --
- * dataset frames, sliding-window estimator, runtime controller, hardware
- * window solver, solver scratch, fault plan, and RNG stream -- bundled
- * behind a SessionContext. Nothing in here is shared between sessions,
- * so any number of them can step concurrently on the process-wide pool
- * and still produce trajectories bit-identical to a serial run (the
- * PR-3 determinism contract extended to session granularity).
+ * dataset frames, sliding-window estimator, runtime controller, and the
+ * hardware window solver with its fault plan and solver scratch.
+ * Nothing in here is shared between sessions, so any number of them can
+ * step concurrently on the process-wide pool and still produce
+ * trajectories bit-identical to a serial run (the determinism contract
+ * extended to session granularity).
  *
- * The session's window solves go through the *async* host-link path:
- * the transaction outcome (status, attempt schedule) is computed when
- * the window is solved -- it is a pure function of the fault plan, so
- * it can run on a pool worker -- while its placement on the service's
- * simulated timeline happens later, in the service's deterministic
- * serial scheduling phase (service.hh).
+ * Each window's host-link transaction is run by hw::HwWindowSolver
+ * when the window is solved -- a pure function of the fault plan, so it
+ * can run on a pool worker. The session hands the transaction to the
+ * service in its SessionStep; the service places it on the simulated
+ * timeline later, in its deterministic serial scheduling phase
+ * (service.hh).
  */
 
 #ifndef ARCHYTAS_SERVICE_SESSION_HH
 #define ARCHYTAS_SERVICE_SESSION_HH
 
-#include <array>
-#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/fault.hh"
 #include "common/flight_recorder.hh"
-#include "common/rng.hh"
 #include "dataset/sequence.hh"
 #include "hw/hw_solver.hh"
 #include "runtime/controller.hh"
-#include "service/async_link.hh"
 #include "slam/estimator.hh"
 
 namespace archytas::service {
 
-/**
- * Per-session identity and reproducibility bundle. Everything that
- * makes a session's run replayable lives here: the fault plan drives
- * injected faults, the RNG stream (forked deterministically from the
- * service seed and the session id) is the session's private source of
- * randomness, and the label prefixes the session's log lines and
- * per-session report entries.
- */
+/** Per-session identity: the id keys the session's trace track, and
+ *  the label prefixes its log lines and per-session report entries. */
 struct SessionContext
 {
     std::size_t id = 0;
     std::string label;   //!< Log/report prefix, e.g. "session-03".
-    FaultPlan faults;    //!< Per-session fault schedule.
-    Rng rng{0};          //!< Private deterministic stream.
 };
 
 /** Configuration of one robot session. */
@@ -81,12 +70,9 @@ struct SessionStep
     slam::FrameResult frame;
     /** Frame availability offset from the session's first frame (s). */
     double frame_offset_s = 0.0;
-    /** The window's host-link transaction; only meaningful when the
-     *  frame was optimized. */
-    PendingTransaction transaction;
-    bool has_transaction = false;
-    /** Window index of the transaction (fault-plan numbering). */
-    std::size_t window = 0;
+    /** The window's host-link transaction; empty when the frame was
+     *  not optimized. */
+    std::optional<hw::HostTransaction> transaction;
 };
 
 /**
@@ -98,8 +84,7 @@ struct SessionStep
 class RobotSession
 {
   public:
-    RobotSession(std::size_t id, const SessionConfig &config,
-                 std::uint64_t service_seed);
+    RobotSession(std::size_t id, const SessionConfig &config);
 
     const SessionContext &context() const { return ctx_; }
     const SessionConfig &config() const { return config_; }
@@ -130,7 +115,6 @@ class RobotSession
     {
         return controller_;
     }
-    const AsyncHostLink &link() const { return link_; }
 
     /** The session's postmortem ring (empty while telemetry is off). */
     const telemetry::FlightRecorder &flight() const { return flight_; }
@@ -146,11 +130,6 @@ class RobotSession
                     const std::string &dir = std::string()) const;
 
   private:
-    [[nodiscard]] slam::LmReport
-    solveWindowAsync(slam::WindowProblem &problem,
-                     const slam::LmOptions &options,
-                     slam::HealthReport &health);
-
     SessionConfig config_;
     SessionContext ctx_;
     dataset::Sequence sequence_;
@@ -161,14 +140,7 @@ class RobotSession
     slam::SlidingWindowEstimator estimator_;
     hw::HwWindowSolver solver_;
     runtime::RuntimeController controller_;
-    AsyncHostLink link_;
     std::size_t next_frame_ = 0;
-    std::size_t window_index_ = 0;
-    bool config_sent_ = false;
-    /** Transaction of the window currently being stepped. */
-    PendingTransaction pending_;
-    bool has_pending_ = false;
-    std::size_t pending_window_ = 0;
     std::vector<slam::FrameResult> results_;
     /** Postmortem ring mirroring this session's spans/counters/instants
      *  while its trace scope is active (common/flight_recorder.hh). */

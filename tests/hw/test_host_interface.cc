@@ -1,3 +1,6 @@
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "hw/accelerator.hh"
@@ -199,6 +202,74 @@ TEST(HostInterface, SevereStallExhaustsTheBudget)
     }
     EXPECT_NEAR(t.total_seconds, bound, 1e-12);
 }
+
+/** A fault-plan input and the outcome the policy must produce. */
+struct PlanCase
+{
+    std::string name;
+    FaultEvent event;
+    TransactionStatus status;
+    std::size_t attempts;
+};
+
+/** Prints a case as its name, which then names the test instance. */
+void
+PrintTo(const PlanCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class HostTransactionPlan : public ::testing::TestWithParam<PlanCase>
+{
+};
+
+/**
+ * The fault-aware transaction is exactly the planner's schedule: same
+ * status, attempts and total time, with the healthy transaction's word
+ * counts -- for a stall, a recoverable timeout and a budget-exhausting
+ * timeout.
+ */
+TEST_P(HostTransactionPlan, MatchesPlannedSchedule)
+{
+    const PlanCase &c = GetParam();
+    const HostInterface host;
+    const FaultPlan plan(7, {c.event});
+    const std::size_t window = c.event.window;
+    const auto nominal = host.windowTransaction(typicalWorkload(), true);
+    const auto t =
+        host.windowTransaction(typicalWorkload(), true, window, plan);
+    const AttemptSchedule expect = planAttempts(
+        host.link(), nominal.total_seconds,
+        plan.find(window, FaultKind::DmaStall),
+        plan.find(window, FaultKind::DmaTimeout));
+
+    EXPECT_EQ(t.status, c.status);
+    EXPECT_EQ(t.attempts, c.attempts);
+    EXPECT_EQ(t.status, expect.status);
+    EXPECT_EQ(t.attempts, expect.attempts);
+    EXPECT_EQ(t.total_seconds, expect.total_seconds);
+    EXPECT_EQ(t.input_words, nominal.input_words);
+    EXPECT_EQ(t.config_words, nominal.config_words);
+    EXPECT_EQ(t.output_words, nominal.output_words);
+    // Every attempt but a final success missed the deadline.
+    const bool succeeded = c.status != TransactionStatus::DeadlineExceeded;
+    EXPECT_EQ(expect.misses, c.attempts - (succeeded ? 1 : 0));
+    if (c.event.kind == FaultKind::DmaStall) {
+        EXPECT_NEAR(t.total_seconds,
+                    c.event.magnitude * nominal.total_seconds, 1e-15);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HostLinkFaults, HostTransactionPlan,
+    ::testing::Values(
+        PlanCase{"stall", {3, FaultKind::DmaStall, 1, 5.0},
+                 TransactionStatus::Ok, 1},
+        PlanCase{"recovered_timeout", {5, FaultKind::DmaTimeout, 2, 0.0},
+                 TransactionStatus::RecoveredAfterRetry, 3},
+        PlanCase{"exhausted_timeout", {7, FaultKind::DmaTimeout, 10, 0.0},
+                 TransactionStatus::DeadlineExceeded,
+                 HostLink{}.max_retries + 1}));
 
 } // namespace
 } // namespace archytas::hw

@@ -39,8 +39,6 @@ namespace {
 constexpr double kContaminationRmseFactor = 25.0;
 constexpr double kContaminationRmseSlack = 1.5;
 
-constexpr std::uint64_t kServiceSeed = 2021;
-
 SessionConfig
 faultSuiteSession(std::size_t i)
 {
@@ -90,7 +88,7 @@ rmse(const std::vector<slam::FrameResult> &results)
 std::vector<slam::FrameResult>
 soloRun(std::size_t id)
 {
-    RobotSession session(id, faultSuiteSession(id), kServiceSeed);
+    RobotSession session(id, faultSuiteSession(id));
     while (!session.finished())
         (void)session.stepFrame();
     return session.results();
@@ -103,7 +101,6 @@ TEST(ServiceFaultRecovery, FaultedSessionRecoversWithoutInterference)
     ServiceOptions options;
     options.accelerator_slots = 2;
     options.max_active_sessions = 4;
-    options.seed = kServiceSeed;
     LocalizationService svc(options);
     for (std::size_t i = 0; i < 4; ++i) {
         SessionConfig cfg = faultSuiteSession(i);
@@ -202,7 +199,6 @@ TEST(ServiceFaultRecovery, TrippedSessionDumpsPostmortemBundle)
     ServiceOptions options;
     options.accelerator_slots = 2;
     options.max_active_sessions = 4;
-    options.seed = kServiceSeed;
     LocalizationService svc(options);
     for (std::size_t i = 0; i < 4; ++i) {
         SessionConfig cfg = faultSuiteSession(i);
@@ -259,7 +255,6 @@ TEST(ServiceFaultRecovery, OverloadedWaitingRoomRejectsDeterministically)
     options.accelerator_slots = 1;
     options.max_active_sessions = 1;
     options.max_queued_sessions = 1;   // Room for one waiter only.
-    options.seed = kServiceSeed;
     SloSpec::tryParse("reject=0.10", options.slo);
     LocalizationService svc(options);
     for (std::size_t i = 0; i < 6; ++i) {

@@ -2,14 +2,18 @@
  * @file
  * The service scheduling layer (service/service.hh): deterministic
  * admission control, earliest-free accelerator-slot grants with fixed
- * tie-breaks, and the end-to-end service run -- reports, traces, and
- * their run-to-run reproducibility.
+ * tie-breaks, and the end-to-end service run -- reports, traces, their
+ * run-to-run reproducibility, and the host-link time each frame is
+ * charged.
  */
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "common/fault.hh"
+#include "dataset/corruptor.hh"
+#include "hw/hw_solver.hh"
 #include "service/accel_pool.hh"
 #include "service/service.hh"
 
@@ -178,6 +182,92 @@ TEST(LocalizationService, ReportIsReproducibleRunToRun)
                   b.sessions[i].completion_s);
     }
     EXPECT_EQ(a.makespan_s, b.makespan_s);
+}
+
+/** Sum of the link time the service charged one session's frames. */
+double
+chargedLinkSeconds(const ServiceReport &report, std::size_t session)
+{
+    double sum = 0.0;
+    for (const FrameTrace &t : report.traces)
+        if (t.session == session)
+            sum += t.link_s;
+    return sum;
+}
+
+/** The session's windows solved by a standalone HwWindowSolver attached
+ *  to an estimator: same sequence, link, and fault plan. */
+hw::HwSolveStats
+standaloneStats(const SessionConfig &cfg)
+{
+    const dataset::Sequence sequence =
+        cfg.euroc_like ? dataset::makeEurocLikeSequence(cfg.sequence)
+                       : dataset::makeKittiLikeSequence(cfg.sequence);
+    const std::vector<dataset::FrameData> frames =
+        cfg.faults.empty() ? sequence.frames()
+                           : dataset::corruptFrames(sequence, cfg.faults);
+    slam::SlidingWindowEstimator estimator(sequence.camera(),
+                                           cfg.estimator);
+    hw::HwWindowSolver solver(cfg.accel, cfg.link, cfg.faults);
+    solver.attach(estimator);
+    for (const dataset::FrameData &frame : frames)
+        (void)estimator.processFrame(frame);
+    return solver.stats();
+}
+
+TEST(LocalizationService, LinkTimeMatchesSolverUnderFaults)
+{
+    ServiceOptions options;
+    options.accelerator_slots = 1;
+    options.max_active_sessions = 2;
+    LocalizationService svc(options);
+    SessionConfig faulted = tinySession(31, 0.0);
+    faulted.use_runtime_controller = false;   // As the standalone run.
+    faulted.faults = FaultPlan(
+        5, {FaultEvent{2, FaultKind::DmaTimeout, 2, 0.0},
+            FaultEvent{4, FaultKind::DmaTimeout, 10, 0.0},
+            FaultEvent{6, FaultKind::DmaStall, 1, 6.0}});
+    svc.addSession(faulted);
+    svc.addSession(tinySession(32, 0.1, true));
+
+    const ServiceReport report = svc.run();
+    for (std::size_t id = 0; id < svc.sessionCount(); ++id) {
+        // Each frame is charged exactly its window's transaction.
+        EXPECT_EQ(chargedLinkSeconds(report, id),
+                  svc.session(id).solver().stats().link_seconds)
+            << "session " << id;
+    }
+
+    const hw::HwSolveStats &hosted = report.sessions[0].hw;
+    const hw::HwSolveStats alone = standaloneStats(faulted);
+    EXPECT_GT(hosted.retried_windows, 0u);
+    EXPECT_GT(hosted.fallback_windows, 0u);
+    EXPECT_EQ(hosted.windows, alone.windows);
+    EXPECT_EQ(hosted.retried_windows, alone.retried_windows);
+    EXPECT_EQ(hosted.fallback_windows, alone.fallback_windows);
+    EXPECT_EQ(hosted.link_seconds, alone.link_seconds);
+}
+
+TEST(LocalizationService, SlowLinkFallsBackToSoftware)
+{
+    // No fault is scheduled, but the link is too slow for its deadline:
+    // every window exhausts its retry budget, is solved in software,
+    // and is charged the abandoned attempts the solver accounted.
+    LocalizationService svc;
+    SessionConfig cfg = tinySession(41, 0.0);
+    cfg.link.bandwidth_bytes_per_s = 1e5;
+    svc.addSession(cfg);
+
+    const ServiceReport report = svc.run();
+    const hw::HwSolveStats &stats = svc.session(0).solver().stats();
+    ASSERT_FALSE(report.traces.empty());
+    EXPECT_EQ(stats.fallback_windows, stats.windows);
+    EXPECT_EQ(stats.hw_windows, 0u);
+    for (const FrameTrace &t : report.traces) {
+        EXPECT_FALSE(t.hw_solved);
+        EXPECT_EQ(t.admission_wait_s, 0.0);
+    }
+    EXPECT_EQ(chargedLinkSeconds(report, 0), stats.link_seconds);
 }
 
 } // namespace

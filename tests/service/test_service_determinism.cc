@@ -101,8 +101,6 @@ sessionMix()
     return mix;
 }
 
-constexpr std::uint64_t kServiceSeed = 2021;
-
 /** The reference: each session alone, stepped serially, single thread. */
 std::vector<std::vector<slam::FrameResult>>
 serialReference(const std::vector<SessionConfig> &mix)
@@ -110,7 +108,7 @@ serialReference(const std::vector<SessionConfig> &mix)
     parallel::setThreadCount(1);
     std::vector<std::vector<slam::FrameResult>> out;
     for (std::size_t id = 0; id < mix.size(); ++id) {
-        RobotSession session(id, mix[id], kServiceSeed);
+        RobotSession session(id, mix[id]);
         while (!session.finished())
             (void)session.stepFrame();
         out.push_back(session.results());
@@ -129,7 +127,6 @@ TEST(ServiceDeterminism, InterleavedSessionsMatchSerialAtEveryPoolSize)
         ServiceOptions options;
         options.accelerator_slots = 2;
         options.max_active_sessions = 4;   // forces admission queueing
-        options.seed = kServiceSeed;
         LocalizationService svc(options);
         for (const SessionConfig &cfg : mix)
             svc.addSession(cfg);
@@ -151,7 +148,6 @@ TEST(ServiceDeterminism, TimelineIsIdenticalAcrossPoolSizes)
     const auto runAt = [&](std::size_t threads) {
         parallel::setThreadCount(threads);
         ServiceOptions options;
-        options.seed = kServiceSeed;
         LocalizationService svc(options);
         for (const SessionConfig &cfg : mix)
             svc.addSession(cfg);
@@ -206,7 +202,6 @@ TEST(ServiceDeterminism, SloVerdictsAndFlightRingsMatchAcrossPoolSizes)
         ServiceOptions options;
         options.accelerator_slots = 2;
         options.max_active_sessions = 4;
-        options.seed = kServiceSeed;
         SloSpec::tryParse(
             "p99_ms=60000,fallback=0.9,divergence=0.5,reject=0.5,"
             "window=16",
