@@ -10,8 +10,12 @@
  * the CI load-smoke step and production dashboards would, with the
  * exact trace-derived percentiles printed alongside as a cross-check.
  *
+ * The run's timeline is checked with service::validateTimeline; a
+ * violation (a double-booked slot, a window queued while a slot idled,
+ * a session served out of order) exits 1 after the report is written.
+ *
  * SLO verdicts (docs/OBSERVABILITY.md): `--slo <spec>` installs a
- * service-level-objective spec (default: a lenient smoke spec) that the
+ * service-level-objective spec (default: a smoke spec) that the
  * service evaluates on the simulated timeline; verdicts print alongside
  * the percentiles, export as `slo.*` telemetry for
  * tools/archytas_slo_report.py, and surface as `slo_pass` /
@@ -39,13 +43,16 @@ namespace {
 
 using namespace archytas;
 
+constexpr std::size_t kAcceleratorSlots = 2;
+
 struct LoadOptions
 {
     std::size_t sessions = 8;
     double duration_s = 6.0;   //!< Per-session sequence length.
-    /** Lenient smoke-test objectives: wide enough that a healthy run
-     *  always passes, tight enough that a broken scheduler will not. */
-    std::string slo = "p99_ms=60000,fallback=0.9,divergence=0.5,"
+    /** Smoke-test objectives: a healthy run's windowed p99 is about
+     *  5 ms, so 50 ms passes with margin while a scheduler that queues
+     *  windows behind future bookings (hundreds of ms) fails. */
+    std::string slo = "p99_ms=50,fallback=0.9,divergence=0.5,"
                       "reject=0.5,window=64";
     std::string flight_dump;   //!< Postmortem bundle dir; empty = off.
 };
@@ -85,7 +92,7 @@ service::ServiceReport
 runLoad(const LoadOptions &load)
 {
     service::ServiceOptions options;
-    options.accelerator_slots = 2;
+    options.accelerator_slots = kAcceleratorSlots;
     options.max_active_sessions = 4;
     options.slo = service::SloSpec::parse(load.slo);
     options.flight_dump_dir = load.flight_dump;
@@ -191,7 +198,14 @@ main(int argc, char **argv)
                     "multi-robot sharing", "one accelerator per robot",
                     std::to_string(load.sessions) + " sessions on 2 slots")
                     .c_str());
-    return harness.finish("service load (" +
-                          std::to_string(load.sessions) + " sessions, " +
-                          std::to_string(load.duration_s) + " s each)");
+    const int status = harness.finish(
+        "service load (" + std::to_string(load.sessions) + " sessions, " +
+        std::to_string(load.duration_s) + " s each)");
+    if (const auto violation =
+            service::validateTimeline(report, kAcceleratorSlots)) {
+        std::fprintf(stderr, "invalid service timeline: %s\n",
+                     violation->c_str());
+        return 1;
+    }
+    return status;
 }

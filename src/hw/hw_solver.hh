@@ -74,7 +74,6 @@ class HwWindowSolver
 
     const HwSolveStats &stats() const { return stats_; }
     const Accelerator &accelerator() const { return accel_; }
-    const HostInterface &host() const { return host_; }
     /** The host-link transaction of the most recent solveWindow. */
     const HostTransaction &lastTransaction() const { return last_txn_; }
 

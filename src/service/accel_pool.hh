@@ -5,10 +5,11 @@
  * service's simulated timeline: a resource is a set of capacity tokens,
  * each carrying the time it becomes free; a grant takes the
  * earliest-free token (ties broken by lowest index) and starts at
- * max(request time, token free time). Grants are issued in the order
- * the service presents requests -- sorted by (request time, session id)
- * -- so scheduling is deterministically fair: no wall-clock reads, no
- * dependence on thread interleaving, identical timelines on every run.
+ * max(request time, token free time). The service's event pass presents
+ * requests in (time, session id) order, which makes the earliest-free
+ * grant exact first-come-first-served, and deterministically fair: no
+ * wall-clock reads, no dependence on thread interleaving, identical
+ * timelines on every run.
  */
 
 #ifndef ARCHYTAS_SERVICE_ACCEL_POOL_HH
@@ -48,8 +49,6 @@ class AcceleratorPool
      * lowest slot index.
      */
     SlotGrant acquire(double request_s, double busy_s);
-
-    double slotFreeTime(std::size_t slot) const;
 
   private:
     std::vector<double> free_at_;

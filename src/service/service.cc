@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <utility>
 
 #include "common/contracts.hh"
@@ -38,6 +43,22 @@ finishSession(SessionReport &sr, const RobotSession &session,
                      {"frames", static_cast<double>(sr.frames)});
 }
 
+/**
+ * One event of the service's event pass. The queue pops the smallest: earliest
+ * time, then a release before a frame request (so capacity freed at t
+ * is admitted before a request at t is granted), then lowest session
+ * id -- the deterministic tie rule.
+ */
+struct Event
+{
+    double time_s = 0.0;
+    bool request = false;    //!< Frame request; false: session release.
+    std::size_t session = 0;
+    std::size_t index = 0;   //!< Frame index of a request.
+
+    auto operator<=>(const Event &) const = default;
+};
+
 } // namespace
 
 double
@@ -66,6 +87,88 @@ ServiceReport::sloPass() const
             return false;
     }
     return true;
+}
+
+std::optional<std::string>
+validateTimeline(const ServiceReport &report, std::size_t slots)
+{
+    char msg[384];
+    const auto frameFault = [&](const char *what, const FrameTrace &t) {
+        std::snprintf(msg, sizeof msg,
+                      "session %zu frame %zu: %s (available %.17g, "
+                      "request %.17g, start %.17g, complete %.17g)",
+                      t.session, t.frame, what, t.available_s,
+                      t.request_s, t.start_s, t.complete_s);
+        return std::optional<std::string>(msg);
+    };
+
+    for (const SessionReport &sr : report.sessions) {
+        if (!sr.rejected && sr.admit_s < sr.arrival_s) {
+            std::snprintf(msg, sizeof msg,
+                          "session %zu admitted at %.17g before its "
+                          "arrival at %.17g",
+                          sr.id, sr.admit_s, sr.arrival_s);
+            return std::string(msg);
+        }
+    }
+
+    // Per frame: causal order, and per session FIFO in report order.
+    std::vector<const FrameTrace *> last(report.sessions.size(), nullptr);
+    std::vector<std::vector<const FrameTrace *>> bookings(slots);
+    for (const FrameTrace &t : report.traces) {
+        if (!(t.complete_s >= t.start_s && t.start_s >= t.request_s &&
+              t.request_s >= t.available_s))
+            return frameFault("not complete >= start >= request >= "
+                              "available", t);
+        if (t.session >= last.size())
+            return frameFault("unknown session", t);
+        const FrameTrace *prev = last[t.session];
+        if (prev && (t.frame <= prev->frame ||
+                     t.request_s < prev->complete_s))
+            return frameFault("not FIFO after the session's previous "
+                              "frame", t);
+        last[t.session] = &t;
+        if (t.hw_solved) {
+            if (t.slot >= slots)
+                return frameFault("granted a slot outside the pool", t);
+            bookings[t.slot].push_back(&t);
+        }
+    }
+
+    // Per slot: bookings must not overlap; the gaps between them are the
+    // slot's idle intervals [lo, hi).
+    struct Gap
+    {
+        double lo, hi;
+    };
+    std::vector<Gap> idle;
+    for (std::vector<const FrameTrace *> &slot : bookings) {
+        std::sort(slot.begin(), slot.end(),
+                  [](const FrameTrace *a, const FrameTrace *b) {
+                      return a->start_s < b->start_s;
+                  });
+        double free_s = -std::numeric_limits<double>::infinity();
+        for (const FrameTrace *t : slot) {
+            if (t->start_s < free_s)
+                return frameFault("double-books its slot", *t);
+            if (t->start_s > free_s)
+                idle.push_back({free_s, t->start_s});
+            free_s = t->complete_s;
+        }
+        idle.push_back({free_s, std::numeric_limits<double>::infinity()});
+    }
+
+    // Work conservation: a hardware frame waits only while every slot
+    // is busy, so no idle interval may overlap [request, start).
+    for (const FrameTrace &t : report.traces) {
+        if (!t.hw_solved || t.start_s == t.request_s)
+            continue;
+        for (const Gap &g : idle) {
+            if (g.lo < t.start_s && g.hi > t.request_s)
+                return frameFault("waited while a slot was idle", t);
+        }
+    }
+    return std::nullopt;
 }
 
 LocalizationService::LocalizationService(const ServiceOptions &options)
@@ -148,21 +251,36 @@ LocalizationService::run()
 #endif
     }
 
-    /** A session holding an admission token. */
-    struct Active
-    {
-        std::size_t id = 0;
-        double admit_s = 0.0;
-        /** Completion of the session's previous frame (its own frames
-         *  are processed in order). */
-        double prev_complete_s = 0.0;
-    };
-    std::vector<Active> active;
+    // Numeric pass: every admitted session steps all its frames, one
+    // pool task per session (the session shard). The numerics never
+    // read the timeline, so no step waits for scheduling; sessions write
+    // disjoint state and nested parallel regions run inline, so the
+    // trajectories cannot depend on the interleaving. Step buffers are
+    // sized outside the pool region; a rejected session's stays empty.
+    std::vector<std::vector<SessionStep>> steps(sessions_.size());
+    for (std::size_t id = 0; id < sessions_.size(); ++id)
+        if (!report.sessions[id].rejected)
+            steps[id].resize(sessions_[id]->frameCount());
+    parallel::runTasks(sessions_.size(), [&](std::size_t id) {
+        for (SessionStep &step : steps[id])
+            step = sessions_[id]->stepFrame();
+    });
 
+    // Event pass: place every frame on the simulated timeline in time
+    // order, so the pool's earliest-free grants are exact FCFS.
+    std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+    // A session's frame k requests once it is available and frame k-1
+    // has completed (per-session FIFO).
+    const auto requestFrame = [&](std::size_t id, std::size_t k,
+                                  double ready_s) {
+        const double available_s =
+            report.sessions[id].admit_s + steps[id][k].frame_offset_s;
+        events.push({std::max(available_s, ready_s), true, id, k});
+    };
     const auto admitAvailable = [&]() {
         while (const auto a = admission.admitNext()) {
-            active.push_back({a->session, a->admit_s, a->admit_s});
             report.sessions[a->session].admit_s = a->admit_s;
+            requestFrame(a->session, 0, a->admit_s);
             slo_engine.recordAdmission(false);
             ARCHYTAS_COUNT_ADD("service.sessions_started", 1);
             ARCHYTAS_HIST_RECORD("service.admission_wait_ms",
@@ -172,140 +290,95 @@ LocalizationService::run()
                 {"session", static_cast<double>(a->session)},
                 {"wait_ms", a->wait_s() * 1e3});
         }
+        ARCHYTAS_GAUGE_SET("service.active_sessions",
+                           static_cast<double>(admission.active()));
     };
     admitAvailable();
 
-    std::vector<SessionStep> steps;
-    while (!active.empty()) {
-        ARCHYTAS_GAUGE_SET("service.active_sessions",
-                           static_cast<double>(active.size()));
+    while (!events.empty()) {
+        const Event e = events.top();
+        events.pop();
+        RobotSession &session = *sessions_[e.session];
+        SessionReport &sr = report.sessions[e.session];
+        if (!e.request) {
+            // The session's last frame completed: return its capacity
+            // and admit queued arrivals into it.
+            finishSession(sr, session, e.time_s);
+            admission.release(e.time_s);
+            report.makespan_s = std::max(report.makespan_s, e.time_s);
+            admitAvailable();
+            continue;
+        }
 
-        // Parallel numeric phase: one pool task per active session (the
-        // session shard). Sessions write disjoint state, and nested
-        // parallel regions run inline, so the trajectories cannot
-        // depend on the interleaving.
-        steps.assign(active.size(), SessionStep{});
-        parallel::runTasks(active.size(), [&](std::size_t i) {
-            steps[i] = sessions_[active[i].id]->stepFrame();
-        });
+        // Same causal identity the numeric pass used, so the scheduling
+        // span lands on the session's track and the flow arc opened in
+        // stepFrame closes here.
+        ARCHYTAS_TRACE_SCOPE(static_cast<std::uint32_t>(e.session),
+                             static_cast<std::uint32_t>(e.index),
+                             &session.flight());
+        ARCHYTAS_SPAN("service", "service.schedule_frame");
+        const SessionStep &step = steps[e.session][e.index];
+        const slam::FrameResult &result = session.results()[e.index];
+        double complete = e.time_s;
 
-        // Serial scheduling phase: place the stepped frames on the
-        // simulated timeline in (request time, session id) order so
-        // slot grants are deterministically fair.
-        const auto requestTime = [&](std::size_t i) {
-            return std::max(active[i].admit_s + steps[i].frame_offset_s,
-                            active[i].prev_complete_s);
-        };
-        std::vector<std::size_t> order(active.size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      const double ra = requestTime(a);
-                      const double rb = requestTime(b);
-                      if (ra != rb)
-                          return ra < rb;
-                      return active[a].id < active[b].id;
-                  });
+        if (step.transaction) {
+            // Optimized window: host-link transaction, then the solve --
+            // on a shared accelerator slot, or on the host CPU after a
+            // DeadlineExceeded fallback (slower, but it queues for no
+            // slot).
+            const hw::Accelerator &accel = session.solver().accelerator();
+            const double compute_s =
+                accel.windowTiming(result.workload,
+                                   result.lm_report.iterations)
+                    .totalMs(accel.constants()) *
+                1e-3;
 
-        for (const std::size_t i : order) {
-            Active &s = active[i];
-            const SessionStep &step = steps[i];
-            RobotSession &session = *sessions_[s.id];
-            const auto frame_index =
-                static_cast<std::uint32_t>(session.frameIndex() - 1);
-            // Same causal identity the numeric phase used, so the
-            // scheduling span lands on the session's track and the flow
-            // arc opened in stepFrame closes here.
-            ARCHYTAS_TRACE_SCOPE(static_cast<std::uint32_t>(s.id),
-                                 frame_index, &session.flight());
-            ARCHYTAS_SPAN("service", "service.schedule_frame");
-            const double available = s.admit_s + step.frame_offset_s;
-            const double request =
-                std::max(available, s.prev_complete_s);
-            double complete = request;
-
-            if (step.transaction) {
-                // Optimized window: host-link transaction, then the
-                // solve -- on a shared accelerator slot, or on the host
-                // CPU after a DeadlineExceeded fallback.
-                const double link_s = step.transaction->total_seconds;
-                const bool hw_solved = step.transaction->ok();
-                const hw::Accelerator &accel =
-                    session.solver().accelerator();
-                const double compute_s =
-                    accel.windowTiming(step.frame.workload,
-                                       step.frame.lm_report.iterations)
-                        .totalMs(accel.constants()) *
-                    1e-3;
-
-                FrameTrace trace;
-                trace.session = s.id;
-                trace.frame = frame_index;
-                trace.available_s = available;
-                trace.request_s = request;
-                trace.link_s = link_s;
-                trace.hw_solved = hw_solved;
-                if (hw_solved) {
-                    const SlotGrant grant =
-                        pool.acquire(request, link_s + compute_s);
-                    trace.admission_wait_s = grant.wait_s;
-                    trace.compute_s = compute_s;
-                    complete = grant.start_s + link_s + compute_s;
-                    ARCHYTAS_INSTANT(
-                        "service", "service.slot_grant",
-                        {"slot", static_cast<double>(grant.slot)},
-                        {"wait_ms", grant.wait_s * 1e3});
-                } else {
-                    // The link burned its deadline + backoff budget;
-                    // the solve runs on the host CPU -- slower, but it
-                    // queues for no slot.
-                    trace.compute_s =
-                        compute_s * options_.software_fallback_factor;
-                    complete = request + link_s + trace.compute_s;
-                }
-                trace.complete_s = complete;
-                ARCHYTAS_HIST_RECORD("service.frame_latency_ms",
-                                     trace.latency_s() * 1e3);
-                ARCHYTAS_HIST_RECORD("service.slot_wait_ms",
-                                     trace.admission_wait_s * 1e3);
-                slo_engine.recordFrame(true, trace.latency_s() * 1e3,
-                                       hw_solved,
-                                       step.frame.health.solver_diverged);
-                report.traces.push_back(trace);
-            } else {
-                slo_engine.recordFrame(
-                    false, 0.0, true,
-                    step.frame.health.solver_diverged);
+            FrameTrace trace;
+            trace.session = e.session;
+            trace.frame = e.index;
+            trace.available_s = sr.admit_s + step.frame_offset_s;
+            trace.request_s = trace.start_s = e.time_s;
+            trace.link_s = step.transaction->total_seconds;
+            trace.hw_solved = step.transaction->ok();
+            trace.compute_s =
+                trace.hw_solved
+                    ? compute_s
+                    : compute_s * options_.software_fallback_factor;
+            const double busy_s = trace.link_s + trace.compute_s;
+            if (trace.hw_solved) {
+                const SlotGrant grant = pool.acquire(e.time_s, busy_s);
+                trace.slot = grant.slot;
+                trace.start_s = grant.start_s;
+                trace.admission_wait_s = grant.wait_s;
+                ARCHYTAS_INSTANT(
+                    "service", "service.slot_grant",
+                    {"slot", static_cast<double>(grant.slot)},
+                    {"wait_ms", grant.wait_s * 1e3});
             }
-            s.prev_complete_s = complete;
-            ARCHYTAS_COUNT_ADD("service.frames", 1);
-            ARCHYTAS_FLOW_END("service", "trace.frame");
-            ARCHYTAS_COUNT_ADD("trace.frames_linked", 1);
+            // The sum the pool booked, so the slot's next grant starts
+            // exactly at this completion.
+            trace.complete_s = trace.start_s + busy_s;
+            complete = trace.complete_s;
+            ARCHYTAS_HIST_RECORD("service.frame_latency_ms",
+                                 trace.latency_s() * 1e3);
+            ARCHYTAS_HIST_RECORD("service.slot_wait_ms",
+                                 trace.admission_wait_s * 1e3);
+            slo_engine.recordFrame(true, trace.latency_s() * 1e3,
+                                   trace.hw_solved,
+                                   result.health.solver_diverged);
+            report.traces.push_back(trace);
+        } else {
+            slo_engine.recordFrame(false, 0.0, true,
+                                   result.health.solver_diverged);
         }
+        ARCHYTAS_COUNT_ADD("service.frames", 1);
+        ARCHYTAS_FLOW_END("service", "trace.frame");
+        ARCHYTAS_COUNT_ADD("trace.frames_linked", 1);
 
-        // Retire finished sessions -- releasing capacity in completion
-        // order so freed tokens carry the right timestamps -- then
-        // admit queued arrivals into the freed capacity.
-        std::vector<Active> still;
-        still.reserve(active.size());
-        std::vector<std::pair<double, std::size_t>> finished;
-        for (const Active &s : active) {
-            if (sessions_[s.id]->finished())
-                finished.emplace_back(s.prev_complete_s, s.id);
-            else
-                still.push_back(s);
-        }
-        std::sort(finished.begin(), finished.end());
-        for (const auto &[completion_s, id] : finished) {
-            finishSession(report.sessions[id], *sessions_[id],
-                          completion_s);
-            admission.release(completion_s);
-            report.makespan_s =
-                std::max(report.makespan_s, completion_s);
-        }
-        active = std::move(still);
-        admitAvailable();
+        if (e.index + 1 < steps[e.session].size())
+            requestFrame(e.session, e.index + 1, complete);
+        else
+            events.push({complete, false, e.session, 0});
     }
 
     report.slo = slo_engine.verdicts();

@@ -2,22 +2,23 @@
  * @file
  * The multi-robot localization service (docs/SERVICE.md): multiplexes N
  * concurrent robot sessions over one process, one compute pool, and a
- * shared set of simulated accelerators. The run loop alternates two
- * phases per round:
+ * shared set of simulated accelerators. A run is two passes:
  *
- *  - a parallel *numeric* phase: every active session steps one frame
- *    via parallel::runTasks (one task per session -- the session
- *    shard). Sessions own all their mutable state, and nested parallel
- *    regions run inline, so per-session numerics are bit-identical to
- *    a serial run at any ARCHYTAS_THREADS;
- *  - a serial *scheduling* phase: the stepped frames are placed on the
- *    simulated timeline in (request time, session id) order --
+ *  - a parallel *numeric* pass: every admitted session steps all its
+ *    frames via parallel::runTasks (one task per session -- the
+ *    session shard). Sessions own all their mutable state, and nested
+ *    parallel regions run inline, so per-session numerics are
+ *    bit-identical to a serial run at any ARCHYTAS_THREADS;
+ *  - a serial *event* pass: one min-queue of frame requests and
+ *    session releases, popped by (time, release before request,
+ *    session id), places every frame on the simulated timeline --
  *    admission waits, host-link transactions, accelerator-slot
- *    queueing -- producing the latency distribution. Scheduling
- *    consumes only numbers already fixed by the numeric phase, so it
- *    can never feed back into the trajectories.
+ *    queueing -- producing the latency distribution. Requests reach
+ *    the AcceleratorPool in time order, so its grants are exact FCFS.
+ *    The pass consumes only numbers already fixed by the numeric
+ *    pass, so it can never feed back into the trajectories.
  *
- * That phase split is the service's determinism contract: thread
+ * That pass split is the service's determinism contract: thread
  * interleaving can change *when* numeric work happens on the host, but
  * neither the trajectories nor the simulated timeline.
  */
@@ -26,6 +27,7 @@
 #define ARCHYTAS_SERVICE_SERVICE_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +58,7 @@ struct ServiceOptions
      */
     std::size_t max_queued_sessions = 0;
     /**
-     * Service-level objectives evaluated during the scheduling phase
+     * Service-level objectives evaluated during the event pass
      * (slo.hh); the default (empty) spec disables evaluation.
      */
     SloSpec slo;
@@ -75,6 +77,10 @@ struct FrameTrace
     std::size_t frame = 0;           //!< Frame index within the session.
     double available_s = 0.0;        //!< Frame arrival on the timeline.
     double request_s = 0.0;          //!< After the session's backlog.
+    /** Service start: the slot grant's start, or request_s for a
+     *  software-fallback solve (it queues for no slot). */
+    double start_s = 0.0;
+    std::size_t slot = 0;            //!< Granted slot (hw_solved only).
     double admission_wait_s = 0.0;   //!< Accelerator-slot queueing delay.
     double link_s = 0.0;             //!< Host-link transaction time.
     double compute_s = 0.0;          //!< Window solve time.
@@ -106,7 +112,8 @@ struct SessionReport
 struct ServiceReport
 {
     std::vector<SessionReport> sessions;
-    std::vector<FrameTrace> traces;   //!< One per optimized window.
+    /** One per optimized window, in request-time order. */
+    std::vector<FrameTrace> traces;
     double makespan_s = 0.0;          //!< Last completion on the timeline.
     /** One verdict per enabled SLO objective (slo.hh); bit-identical
      *  at any thread count -- the inputs are all simulated-timeline. */
@@ -119,6 +126,17 @@ struct ServiceReport
     /** True when every enabled SLO objective passed (vacuously true). */
     bool sloPass() const;
 };
+
+/**
+ * Checks a report's simulated timeline against the event model on an
+ * accelerator pool of `slots` slots: no slot is double-booked; no
+ * hardware frame waits while any slot is idle over [request, start);
+ * each session's frames are served FIFO; complete >= start >= request
+ * >= available for every frame; admit >= arrival for every admitted
+ * session. Returns a description of the first violation, or nothing.
+ */
+std::optional<std::string> validateTimeline(const ServiceReport &report,
+                                            std::size_t slots);
 
 /**
  * The service: add sessions, then run them all to completion. Both the

@@ -87,7 +87,7 @@ RobotSession::stepFrame()
     // Causal scope: every span/counter/instant below -- including the
     // estimator phases and the host-link transaction -- is tagged with
     // (session, frame) and mirrored into the flight ring, and the flow
-    // arc opened here is closed by the service's scheduling phase.
+    // arc opened here is closed by the service's event pass.
     ARCHYTAS_TRACE_SCOPE(static_cast<std::uint32_t>(ctx_.id),
                          frame_index, &flight_);
     ARCHYTAS_SPAN("session", "session.step");
@@ -95,28 +95,27 @@ RobotSession::stepFrame()
 
     SessionStep step;
     const std::size_t windows = solver_.stats().windows;
-    step.frame = estimator_.processFrame(frame);
+    const slam::FrameResult &result =
+        results_.emplace_back(estimator_.processFrame(frame));
     step.frame_offset_s = frame.timestamp - frames_.front().timestamp;
     if (solver_.stats().windows != windows)
         step.transaction = solver_.lastTransaction();
-    results_.push_back(step.frame);
 
     ARCHYTAS_COUNT_ADD("session.frames", 1);
-    if (step.frame.health.degraded)
+    if (result.health.degraded)
         ARCHYTAS_COUNT_ADD("session.degraded_frames", 1);
-    ARCHYTAS_HIST_RECORD("session.position_error",
-                         step.frame.position_error);
+    ARCHYTAS_HIST_RECORD("session.position_error", result.position_error);
 
 #if ARCHYTAS_TELEMETRY_ENABLED
     // Postmortem triggers: capture the forensic ring the moment the
     // divergence watchdog trips or the hw solver falls back, while the
     // offending frame's records are still the freshest in the buffer.
     if (telemetry::enabled()) {
-        if (step.frame.health.solver_diverged) {
+        if (result.health.solver_diverged) {
             flight_.record(telemetry::FlightKind::Fault, "watchdog",
                            frame_index);
             dumpFlight("watchdog");
-        } else if (step.frame.health.hw_fallback) {
+        } else if (result.health.hw_fallback) {
             flight_.record(telemetry::FlightKind::Fault, "hw_fallback",
                            frame_index);
             dumpFlight("hw_fallback");

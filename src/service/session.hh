@@ -13,8 +13,7 @@
  * when the window is solved -- a pure function of the fault plan, so it
  * can run on a pool worker. The session hands the transaction to the
  * service in its SessionStep; the service places it on the simulated
- * timeline later, in its deterministic serial scheduling phase
- * (service.hh).
+ * timeline later, in its deterministic serial event pass (service.hh).
  */
 
 #ifndef ARCHYTAS_SERVICE_SESSION_HH
@@ -63,11 +62,10 @@ struct SessionConfig
     runtime::IterTable iter_table = runtime::IterTable::alwaysMax();
 };
 
-/** One stepped frame, plus the inputs the service needs to place it on
- *  the simulated timeline. */
+/** What the service needs to place one stepped frame on the simulated
+ *  timeline; the frame's result is the session's results() entry. */
 struct SessionStep
 {
-    slam::FrameResult frame;
     /** Frame availability offset from the session's first frame (s). */
     double frame_offset_s = 0.0;
     /** The window's host-link transaction; empty when the frame was
@@ -90,7 +88,6 @@ class RobotSession
     const SessionConfig &config() const { return config_; }
 
     bool finished() const { return next_frame_ >= frames_.size(); }
-    std::size_t frameIndex() const { return next_frame_; }
     std::size_t frameCount() const { return frames_.size(); }
 
     /**

@@ -3,12 +3,12 @@
  * In-process SLO engine (docs/OBSERVABILITY.md): a small declarative
  * spec of service-level objectives -- frame-latency p99 bound,
  * software-fallback rate, divergence rate, admission-rejection rate --
- * evaluated over sliding windows *inside the service scheduling phase*,
- * on simulated-timeline numbers only.
+ * evaluated over sliding windows *inside the service's event pass*, on
+ * simulated-timeline numbers only.
  *
  * Determinism contract: every input the engine sees (frame latencies,
  * fallback/divergence flags, admission decisions) is fixed by the
- * numeric phase and placed by the serial scheduling phase, so verdicts
+ * numeric pass and placed by the serial event pass, so verdicts
  * are bit-identical at any ARCHYTAS_THREADS. No wall-clock values are
  * consumed; the `slo.*` gauges are therefore *not* `_ms`-exempt -- they
  * must reproduce exactly (tested by test_service_determinism.cc).
@@ -77,7 +77,7 @@ struct SloVerdict
 
 /**
  * Evaluates an SloSpec over the service run. Feed it from the serial
- * scheduling phase only (it keeps no locks); read verdicts() once the
+ * event pass only (it keeps no locks); read verdicts() once the
  * run completes and publish() them as `slo.*` telemetry.
  */
 class SloEngine

@@ -8,6 +8,10 @@
  */
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -136,12 +140,11 @@ TEST(LocalizationService, RunsSessionsToCompletion)
     // The third session waited: capacity is 2 and arrivals overlap.
     EXPECT_GT(report.sessions[2].admit_s, report.sessions[2].arrival_s);
 
-    // Every trace is internally consistent.
-    for (const FrameTrace &t : report.traces) {
-        EXPECT_GE(t.request_s, t.available_s);
-        EXPECT_GE(t.complete_s, t.request_s);
-        EXPECT_GE(t.latency_s(), 0.0);
-    }
+    // The timeline obeys the event model: with one slot shared by two
+    // staggered sessions, no window may queue while the slot is idle.
+    EXPECT_EQ(validateTimeline(report, options.accelerator_slots)
+                  .value_or(""),
+              "");
 
     // Percentiles are monotone in p.
     const double p50 = report.latencyPercentileMs(50);
@@ -150,6 +153,82 @@ TEST(LocalizationService, RunsSessionsToCompletion)
     EXPECT_LE(p50, p95);
     EXPECT_LE(p95, p99);
     EXPECT_GT(p50, 0.0);
+}
+
+FrameTrace
+hwFrame(std::size_t session, std::size_t frame, double request_s,
+        double start_s, double complete_s, std::size_t slot = 0)
+{
+    FrameTrace t;
+    t.session = session;
+    t.frame = frame;
+    t.available_s = request_s;
+    t.request_s = request_s;
+    t.start_s = start_s;
+    t.admission_wait_s = start_s - request_s;
+    t.complete_s = complete_s;
+    t.slot = slot;
+    t.hw_solved = true;
+    return t;
+}
+
+ServiceReport
+twoSessionReport()
+{
+    ServiceReport report;
+    report.sessions.resize(2);
+    report.sessions[1].id = 1;
+    return report;
+}
+
+TEST(ValidateTimeline, AcceptsABackToBackQueue)
+{
+    ServiceReport report = twoSessionReport();
+    report.traces = {hwFrame(0, 0, 0.0, 0.0, 1.0),
+                     hwFrame(1, 0, 0.5, 1.0, 2.0),
+                     hwFrame(0, 1, 1.0, 2.0, 3.0)};
+    EXPECT_EQ(validateTimeline(report, 1).value_or(""), "");
+}
+
+TEST(ValidateTimeline, NamesEachViolatedInvariant)
+{
+    const auto violation = [](ServiceReport report,
+                              std::vector<FrameTrace> traces,
+                              std::size_t slots = 1) {
+        report.traces = std::move(traces);
+        return validateTimeline(report, slots).value_or("");
+    };
+    const ServiceReport ok = twoSessionReport();
+    EXPECT_NE(violation(ok, {hwFrame(0, 0, 0.0, 0.0, 1.0),
+                             hwFrame(1, 0, 0.0, 0.5, 1.5)})
+                  .find("double-books"),
+              std::string::npos);
+    EXPECT_NE(violation(ok, {hwFrame(0, 0, 0.0, 0.0, 1.0),
+                             hwFrame(1, 0, 1.5, 2.5, 3.5)})
+                  .find("idle"),
+              std::string::npos);
+    // An unused second slot is idle for the whole queueing delay.
+    EXPECT_NE(violation(ok,
+                        {hwFrame(0, 0, 0.0, 0.0, 1.0),
+                         hwFrame(1, 0, 0.5, 1.0, 2.0)},
+                        2)
+                  .find("idle"),
+              std::string::npos);
+    EXPECT_NE(violation(ok, {hwFrame(0, 0, 0.0, 0.0, 1.0),
+                             hwFrame(0, 1, 0.5, 1.0, 2.0)})
+                  .find("previous frame"),
+              std::string::npos);
+    EXPECT_NE(violation(ok, {hwFrame(0, 0, 1.0, 0.5, 1.5)})
+                  .find("complete >= start"),
+              std::string::npos);
+    EXPECT_NE(violation(ok, {hwFrame(0, 0, 0.0, 0.0, 1.0, 3)})
+                  .find("outside the pool"),
+              std::string::npos);
+
+    ServiceReport early = twoSessionReport();
+    early.sessions[1].arrival_s = 1.0;
+    EXPECT_NE(violation(early, {}).find("before its arrival"),
+              std::string::npos);
 }
 
 TEST(LocalizationService, ReportIsReproducibleRunToRun)

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -132,6 +133,9 @@ TEST(ServiceDeterminism, InterleavedSessionsMatchSerialAtEveryPoolSize)
             svc.addSession(cfg);
         const ServiceReport report = svc.run();
         ASSERT_EQ(report.sessions.size(), mix.size());
+        EXPECT_EQ(validateTimeline(report, options.accelerator_slots)
+                      .value_or(""),
+                  "");
         for (std::size_t id = 0; id < mix.size(); ++id) {
             SCOPED_TRACE("threads=" + std::to_string(threads));
             expectBitIdentical(reference[id],
@@ -155,9 +159,14 @@ TEST(ServiceDeterminism, TimelineIsIdenticalAcrossPoolSizes)
     };
     const ServiceReport one = runAt(1);
     const ServiceReport eight = runAt(8);
+    for (const ServiceReport *report : {&one, &eight})
+        EXPECT_EQ(validateTimeline(*report,
+                                   ServiceOptions{}.accelerator_slots)
+                      .value_or(""),
+                  "");
 
     // The simulated timeline -- admission, slot grants, latencies -- is
-    // scheduled serially from values fixed by the numeric phase, so the
+    // scheduled serially from values fixed by the numeric pass, so the
     // pool size cannot move a single trace entry.
     ASSERT_EQ(one.traces.size(), eight.traces.size());
     for (std::size_t i = 0; i < one.traces.size(); ++i) {
@@ -189,7 +198,7 @@ TEST(ServiceDeterminism, SloVerdictsAndFlightRingsMatchAcrossPoolSizes)
 #endif
     // The observability extension of the contract (docs/OBSERVABILITY.md):
     // SLO verdicts are computed from simulated-timeline numbers in the
-    // serial scheduling phase, and flight records carry no wall-clock
+    // serial event pass, and flight records carry no wall-clock
     // values, so both must reproduce bit-identically at any pool size.
     PoolSizeGuard guard;
     const std::vector<SessionConfig> mix = sessionMix();
@@ -214,6 +223,8 @@ TEST(ServiceDeterminism, SloVerdictsAndFlightRingsMatchAcrossPoolSizes)
     };
     auto [one_svc, one] = runAt(1);
     auto [eight_svc, eight] = runAt(8);
+    EXPECT_EQ(validateTimeline(one, 2).value_or(""), "");
+    EXPECT_EQ(validateTimeline(eight, 2).value_or(""), "");
 
     // SLO verdicts: field-by-field, bounds and worsts bitwise.
     ASSERT_FALSE(one.slo.empty());

@@ -1,9 +1,9 @@
 /**
  * @file
  * CLI driver of archytas-analyzer. Loads every .cc/.hh under the scan
- * directories, runs the checker catalogue, applies inline waivers and
- * the committed baseline, and writes text (stdout) and optionally
- * SARIF reports.
+ * directories, plus each source file named directly, runs the checker
+ * catalogue, applies inline waivers and the committed baseline, and
+ * writes text (stdout) and optionally SARIF reports.
  *
  * Exit codes: 0 clean, 1 unwaived/non-baselined findings, 2 usage or
  * I/O error.
@@ -44,7 +44,7 @@ int
 usage(const char *argv0)
 {
     std::cerr
-        << "usage: " << argv0 << " [options] [scan-dir...]\n"
+        << "usage: " << argv0 << " [options] [scan-path...]\n"
         << "  --root DIR                repo root (default .)\n"
         << "  --sarif PATH              write SARIF 2.1.0 report\n"
         << "  --baseline PATH           suppress findings whose\n"
@@ -57,7 +57,8 @@ usage(const char *argv0)
         << "                            module (default 80)\n"
         << "  --list-rules              print the rule catalogue\n"
         << "  --verbose                 chatty progress\n"
-        << "scan-dirs default to `src` (relative to --root).\n";
+        << "scan-paths are directories or single .cc/.hh files,\n"
+        << "relative to --root; they default to `src`.\n";
     return 2;
 }
 
@@ -218,8 +219,13 @@ main(int argc, char **argv)
     std::vector<fs::path> paths;
     for (const std::string &dir : opt.scan_dirs) {
         const fs::path scan = root / dir;
-        if (!fs::exists(scan)) {
-            std::cerr << "error: scan dir does not exist: "
+        // A named file is analyzed as given, fixture or not.
+        if (fs::is_regular_file(scan) && analyzableExtension(scan)) {
+            paths.push_back(scan);
+            continue;
+        }
+        if (!fs::is_directory(scan)) {
+            std::cerr << "error: not a scan dir or C++ source file: "
                       << scan.string() << "\n";
             return 2;
         }

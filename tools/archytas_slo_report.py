@@ -3,7 +3,7 @@
 
 The in-process SLO engine (src/service/slo.hh) evaluates declarative
 objectives -- frame-latency p99 bound, fallback/divergence/rejection
-rates over sliding windows -- inside the service scheduling phase and
+rates over sliding windows -- inside the service's serial event pass and
 publishes the outcome as `slo.*` telemetry:
 
   gauges    slo.frame_p99_ms, slo.fallback_rate, slo.divergence_rate,
